@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -52,22 +53,51 @@ std::string FeatureVector::ToString() const {
   return out;
 }
 
+namespace {
+
+/// ASCII whitespace, as std::isspace in the "C" locale, but inlined: the
+/// tokenizer tests every byte of every stored feature row.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Pops the next whitespace-delimited token off the front of \p rest;
+/// empty once no token remains.
+std::string_view NextToken(std::string_view* rest) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsSpace((*rest)[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest->size() && !IsSpace((*rest)[end])) ++end;
+  const std::string_view token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return token;
+}
+
+}  // namespace
+
 Result<FeatureVector> FeatureVector::FromString(const std::string& text) {
-  const std::vector<std::string> tokens = SplitWhitespace(text);
-  if (tokens.size() < 2) {
+  // Tokens are views into text and every number is parsed in place.
+  std::string_view rest = text;
+  const std::string_view type = NextToken(&rest);
+  const std::string_view count = NextToken(&rest);
+  if (count.empty()) {
     return Status::Corruption("feature string too short");
   }
-  VR_ASSIGN_OR_RETURN(int64_t n, ParseInt64(tokens[1]));
-  if (n < 0 || static_cast<size_t>(n) != tokens.size() - 2) {
+  VR_ASSIGN_OR_RETURN(int64_t n, ParseInt64(count));
+  // The values present are counted before anything is sized from n, so a
+  // corrupt count cannot drive an allocation.
+  size_t present = 0;
+  for (std::string_view scan = rest; !NextToken(&scan).empty();) ++present;
+  if (n < 0 || static_cast<size_t>(n) != present) {
     return Status::Corruption(StringPrintf(
         "feature string declares %lld values but carries %zu",
-        static_cast<long long>(n), tokens.size() - 2));
+        static_cast<long long>(n), present));
   }
-  std::vector<double> values(static_cast<size_t>(n));
-  for (size_t i = 0; i < values.size(); ++i) {
-    VR_ASSIGN_OR_RETURN(values[i], ParseDouble(tokens[i + 2]));
+  std::vector<double> values(present);
+  for (double& v : values) {
+    VR_ASSIGN_OR_RETURN(v, ParseDouble(NextToken(&rest)));
   }
-  return FeatureVector(tokens[0], std::move(values));
+  return FeatureVector(std::string(type), std::move(values));
 }
 
 double FeatureVector::Sum() const {

@@ -63,10 +63,14 @@ class FeatureVector {
   bool empty() const { return values_.empty(); }
   double operator[](size_t i) const { return values_[i]; }
 
-  /// "<type> <n> v0 v1 ... v{n-1}" with round-trippable doubles.
+  /// "<type> <n> v0 v1 ... v{n-1}", each value the shortest decimal that
+  /// reads back to the same bits (FormatDouble).
   std::string ToString() const;
 
-  /// Parses the ToString() format.
+  /// Parses the ToString() format. Values may be any std::from_chars
+  /// decimal, so text written with other spellings (such as "%.17g") reads
+  /// back the same. Corruption when the count is negative or disagrees with
+  /// the values present; InvalidArgument when a number does not parse.
   static Result<FeatureVector> FromString(const std::string& text);
 
   /// Sum of values.

@@ -95,17 +95,11 @@ Result<double> ParseDouble(std::string_view s) {
 }
 
 std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Try shorter representations that still round-trip.
-  for (int prec = 1; prec <= 16; ++prec) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  return buf;
+  // Without a format or precision, to_chars emits the shortest decimal
+  // that parses back to exactly v; the longest such form
+  // ("-2.2250738585072014e-308") is 24 characters.
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string StringPrintf(const char* fmt, ...) {

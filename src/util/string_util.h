@@ -41,7 +41,9 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Parses a double from the whole of \p s.
 Result<double> ParseDouble(std::string_view s);
 
-/// Formats a double compactly (shortest round-trippable form).
+/// Formats a double as the shortest decimal that parses back to the same
+/// bits (std::to_chars); never longer than "%.17g". NaN and infinities
+/// are spelled "nan", "inf", with a leading '-' when the sign bit is set.
 std::string FormatDouble(double v);
 
 /// printf-style formatting into a std::string.

@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "retrieval/engine.h"
 #include "retrieval/feedback.h"
+#include "test_dir.h"
 #include "video/synth/generator.h"
 
 namespace vr {
@@ -35,9 +35,6 @@ std::vector<Image> TinyVideo(VideoCategory category, uint64_t seed) {
 class EngineConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string("/tmp/vretrieve_concurrency_test_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    RemoveDirRecursive(dir_);
     EngineOptions options;
     options.enabled_features = {FeatureKind::kColorHistogram,
                                 FeatureKind::kGlcm};
@@ -57,10 +54,10 @@ class EngineConcurrencyTest : public ::testing::Test {
 
   void TearDown() override {
     engine_.reset();
-    RemoveDirRecursive(dir_);
   }
 
-  std::string dir_;
+  ScopedTestDir test_dir_;
+  const std::string dir_ = test_dir_.path();
   std::unique_ptr<RetrievalEngine> engine_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace vr {
 namespace {
@@ -20,12 +22,40 @@ TEST(FeatureVectorTest, StringFormatMatchesPaperStyle) {
 }
 
 TEST(FeatureVectorTest, FromStringRejectsBadCounts) {
-  EXPECT_FALSE(FeatureVector::FromString("glcm 3 1 2").ok());
-  EXPECT_FALSE(FeatureVector::FromString("glcm 1 1 2").ok());
-  EXPECT_FALSE(FeatureVector::FromString("glcm").ok());
-  EXPECT_FALSE(FeatureVector::FromString("").ok());
-  EXPECT_FALSE(FeatureVector::FromString("glcm x 1").ok());
-  EXPECT_FALSE(FeatureVector::FromString("glcm 1 abc").ok());
+  for (const char* text : {"glcm 3 1 2", "glcm 1 1 2", "glcm", "", "glcm -1",
+                           "glcm 2 abc"}) {  // the count is checked first
+    EXPECT_TRUE(FeatureVector::FromString(text).status().IsCorruption())
+        << text;
+  }
+  for (const char* text : {"glcm x 1", "glcm 1 abc"}) {
+    EXPECT_TRUE(FeatureVector::FromString(text).status().IsInvalidArgument())
+        << text;
+  }
+}
+
+TEST(FeatureVectorTest, LegacySpellingsReadBackTheSameBits) {
+  // Stores written before FormatDouble emitted the shortest to_chars form
+  // hold "%.Ng" spellings; they must parse to the values the current
+  // spelling writes.
+  const FeatureVector current(
+      "glcm", {100.0, 1.2345678901234568e+17, -0.0, 2.274446602930954e-4});
+  Result<FeatureVector> legacy = FeatureVector::FromString(
+      "glcm 4 1e+02 1.2345678901234568e+17 -0 2.274446602930954e-4");
+  Result<FeatureVector> fresh = FeatureVector::FromString(current.ToString());
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ(legacy->size(), current.size());
+  ASSERT_EQ(fresh->size(), current.size());
+  for (size_t i = 0; i < current.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*legacy)[i]),
+              std::bit_cast<uint64_t>(current[i]))
+        << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>((*fresh)[i]),
+              std::bit_cast<uint64_t>(current[i]))
+        << i;
+  }
+  EXPECT_EQ(current.ToString(),
+            "glcm 4 100 123456789012345680 -0 0.0002274446602930954");
 }
 
 TEST(FeatureVectorTest, EmptyVectorRoundTrips) {

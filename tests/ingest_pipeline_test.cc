@@ -12,10 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "retrieval/engine.h"
 #include "retrieval/ingest_pipeline.h"
 #include "service/service.h"
+#include "test_dir.h"
 #include "video/synth/generator.h"
 #include "video/video_writer.h"
 
@@ -91,21 +91,12 @@ void ExpectStoresIdentical(VideoStore* a, VideoStore* b) {
 
 class IngestPipelineTest : public ::testing::Test {
  protected:
-  std::string TestDir(const char* suffix) {
-    const std::string dir =
-        std::string("/tmp/vretrieve_ingest_pipeline_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        "_" + suffix;
-    RemoveDirRecursive(dir);
-    dirs_.push_back(dir);
-    return dir;
+  /// A path inside this test's own directory, for one store or file.
+  std::string TestDir(const char* suffix) const {
+    return test_dir_.path() + "/" + suffix;
   }
 
-  void TearDown() override {
-    for (const std::string& dir : dirs_) RemoveDirRecursive(dir);
-  }
-
-  std::vector<std::string> dirs_;
+  ScopedTestDir test_dir_;
 };
 
 TEST_F(IngestPipelineTest, ParallelMatchesSerialByteForByte) {
@@ -153,7 +144,6 @@ TEST_F(IngestPipelineTest, ParallelMatchesSerialByteForByte) {
 TEST_F(IngestPipelineTest, FilePathJobsDecodeOnWorkers) {
   const std::string dir = TestDir("db");
   const std::string vsv = dir + "_clip.vsv";
-  dirs_.push_back(vsv);
   const std::vector<Image> frames = TinyVideo(VideoCategory::kNews, 7);
   {
     VideoWriter writer;
@@ -234,9 +224,6 @@ TEST_F(IngestPipelineTest, SubmitAfterFinishFailsCleanly) {
 class IngestConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string("/tmp/vretrieve_ingest_concurrency_test_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    RemoveDirRecursive(dir_);
     EngineOptions options;
     options.enabled_features = {FeatureKind::kColorHistogram,
                                 FeatureKind::kGlcm};
@@ -251,10 +238,10 @@ class IngestConcurrencyTest : public ::testing::Test {
 
   void TearDown() override {
     engine_.reset();
-    RemoveDirRecursive(dir_);
   }
 
-  std::string dir_;
+  ScopedTestDir test_dir_;
+  const std::string dir_ = test_dir_.path();
   std::unique_ptr<RetrievalEngine> engine_;
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "util/rng.h"
 
@@ -118,9 +120,21 @@ TEST(MetricsTest, BatchKernelsBitIdenticalToScalar) {
   }
 }
 
-class MetricAxiomsTest
-    : public testing::TestWithParam<
-          std::pair<const char*, double (*)(const Vec&, const Vec&)>> {};
+/// One metric under test. gtest embeds the printed parameter in each
+/// test's listed name, so PrintTo shows only the metric's name: a raw
+/// pointer pair would print load addresses that change with every run.
+struct MetricCase {
+  const char* name;
+  VecMetric metric;
+};
+
+void PrintTo(const MetricCase& c, std::ostream* os) { *os << c.name; }
+
+std::string MetricCaseName(const testing::TestParamInfo<MetricCase>& info) {
+  return info.param.name;
+}
+
+class MetricAxiomsTest : public testing::TestWithParam<MetricCase> {};
 
 TEST_P(MetricAxiomsTest, NonNegativeSymmetricZeroOnSelf) {
   auto [name, metric] = GetParam();
@@ -140,20 +154,17 @@ TEST_P(MetricAxiomsTest, NonNegativeSymmetricZeroOnSelf) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMetrics, MetricAxiomsTest,
-    testing::Values(
-        std::make_pair("L1", static_cast<VecMetric>(&L1Distance)), std::make_pair("L2", static_cast<VecMetric>(&L2Distance)),
-        std::make_pair("LInf", &LInfDistance),
-        std::make_pair("Cosine", &CosineDistance),
-        std::make_pair("ChiSquare", &ChiSquareDistance),
-        std::make_pair("Intersection", static_cast<VecMetric>(&HistogramIntersectionDistance)),
-        std::make_pair("JensenShannon", &JensenShannonDivergence),
-        std::make_pair("EMD", &EmdL1Distance),
-        std::make_pair("Canberra", &CanberraDistance)),
-    [](const auto& info) { return info.param.first; });
+    testing::Values(MetricCase{"L1", &L1Distance}, MetricCase{"L2", &L2Distance},
+                    MetricCase{"LInf", &LInfDistance},
+                    MetricCase{"Cosine", &CosineDistance},
+                    MetricCase{"ChiSquare", &ChiSquareDistance},
+                    MetricCase{"Intersection", &HistogramIntersectionDistance},
+                    MetricCase{"JensenShannon", &JensenShannonDivergence},
+                    MetricCase{"EMD", &EmdL1Distance},
+                    MetricCase{"Canberra", &CanberraDistance}),
+    MetricCaseName);
 
-class TriangleInequalityTest
-    : public testing::TestWithParam<
-          std::pair<const char*, double (*)(const Vec&, const Vec&)>> {};
+class TriangleInequalityTest : public testing::TestWithParam<MetricCase> {};
 
 TEST_P(TriangleInequalityTest, Holds) {
   auto [name, metric] = GetParam();
@@ -171,11 +182,10 @@ TEST_P(TriangleInequalityTest, Holds) {
 
 INSTANTIATE_TEST_SUITE_P(
     TrueMetrics, TriangleInequalityTest,
-    testing::Values(std::make_pair("L1", static_cast<VecMetric>(&L1Distance)),
-                    std::make_pair("L2", static_cast<VecMetric>(&L2Distance)),
-                    std::make_pair("LInf", &LInfDistance),
-                    std::make_pair("Canberra", &CanberraDistance)),
-    [](const auto& info) { return info.param.first; });
+    testing::Values(MetricCase{"L1", &L1Distance}, MetricCase{"L2", &L2Distance},
+                    MetricCase{"LInf", &LInfDistance},
+                    MetricCase{"Canberra", &CanberraDistance}),
+    MetricCaseName);
 
 }  // namespace
 }  // namespace vr

@@ -16,11 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "service/client.h"
 #include "service/fault_injection_transport.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "test_dir.h"
 #include "util/logging.h"
 #include "video/synth/generator.h"
 
@@ -95,8 +95,6 @@ bool IsTypedTransportError(const Status& status) {
 class NetworkChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string("/tmp/vretrieve_network_chaos_test");
-    RemoveDirRecursive(dir_);
     EngineOptions options;
     options.enabled_features = {FeatureKind::kColorHistogram,
                                 FeatureKind::kGlcm};
@@ -116,10 +114,10 @@ class NetworkChaosTest : public ::testing::Test {
 
   void TearDown() override {
     engine_.reset();
-    RemoveDirRecursive(dir_);
   }
 
-  std::string dir_;
+  ScopedTestDir test_dir_;
+  const std::string dir_ = test_dir_.path();
   std::unique_ptr<RetrievalEngine> engine_;
   Image query_;
   std::vector<QueryResult> baseline_;

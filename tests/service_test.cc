@@ -13,12 +13,12 @@
 #include <thread>
 #include <vector>
 
-#include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "service/client.h"
 #include "service/server.h"
 #include "service/transport.h"
 #include "service/wire.h"
 #include "storage/pager.h"
+#include "test_dir.h"
 #include "video/synth/generator.h"
 
 namespace vr {
@@ -38,9 +38,6 @@ std::vector<Image> TestVideo(VideoCategory category, uint64_t seed) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string("/tmp/vretrieve_service_test_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    RemoveDirRecursive(dir_);
     EngineOptions options;
     options.enabled_features = {FeatureKind::kColorHistogram,
                                 FeatureKind::kGlcm};
@@ -58,10 +55,10 @@ class ServiceTest : public ::testing::Test {
 
   void TearDown() override {
     engine_.reset();
-    RemoveDirRecursive(dir_);
   }
 
-  std::string dir_;
+  ScopedTestDir test_dir_;
+  const std::string dir_ = test_dir_.path();
   std::unique_ptr<RetrievalEngine> engine_;
   Image query_;
 };

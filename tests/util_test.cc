@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/rng.h"
@@ -56,10 +60,48 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseDouble("").ok());
 }
 
+/// FormatDouble must read back to the same bits (the sign of zero and the
+/// NaN-ness included) and never spell a value longer than "%.17g" does.
+void ExpectExactRoundTrip(double v) {
+  const std::string s = FormatDouble(v);
+  Result<double> back = ParseDouble(s);
+  ASSERT_TRUE(back.ok()) << s << ": " << back.status();
+  if (std::isnan(v)) {
+    EXPECT_TRUE(std::isnan(*back)) << s;
+  } else {
+    EXPECT_EQ(std::bit_cast<uint64_t>(*back), std::bit_cast<uint64_t>(v))
+        << s;
+  }
+  EXPECT_LE(s.size(), StringPrintf("%.17g", v).size()) << s;
+}
+
 TEST(FormatDoubleTest, RoundTrips) {
-  for (double v : {0.0, 1.0, -3.25, 0.1, 1e-9, 12345678.9, 2.274446602930954e-4}) {
-    const std::string s = FormatDouble(v);
-    EXPECT_DOUBLE_EQ(ParseDouble(s).value(), v) << s;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      0.0, 1.0, -3.25, 0.1, 1e-9, 12345678.9, 2.274446602930954e-4,
+      -0.0, 5e-324, -5e-324, DBL_MIN, -DBL_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX, DBL_EPSILON,
+      0.1 + 0.2, 1e16, 1e17, 9007199254740992.0, 9007199254740993.0,
+      std::nextafter(1e16, 0.0), std::nextafter(1e16, inf),
+      std::nextafter(1e17, 0.0), std::nextafter(1e17, inf), 1e23,
+      123456789012345678.0, inf, -inf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  for (double v : values) ExpectExactRoundTrip(v);
+  for (int e = -1074; e <= 1023; ++e) {
+    ExpectExactRoundTrip(std::ldexp(1.0, e));
+    ExpectExactRoundTrip(-std::ldexp(1.0, e));
+  }
+  EXPECT_EQ(FormatDouble(-0.0), "-0");
+  EXPECT_EQ(FormatDouble(100.0), "100");
+}
+
+TEST(FormatDoubleTest, RandomBitPatternsRoundTripExactly) {
+  Rng rng(0xF0A7D0B1E);
+  for (int i = 0; i < 200000; ++i) {
+    ExpectExactRoundTrip(std::bit_cast<double>(rng.Next()));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    ExpectExactRoundTrip(rng.UniformDouble(0.0, 100.0));
   }
 }
 
